@@ -96,12 +96,19 @@ impl InstanceCache {
         found
     }
 
-    /// Registers a freshly parsed instance under its digest.
-    pub fn insert(&self, digest: u128, h: Arc<Hypergraph>) {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(digest, h);
+    /// Registers an instance uploaded inline and returns the cached copy:
+    /// a digest seen before counts as a hit and keeps the instance
+    /// already cached, a new one counts as a miss and is inserted.
+    pub fn intern(&self, digest: u128, h: Hypergraph) -> Arc<Hypergraph> {
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(cached) = inner.get(&digest) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return cached;
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let h = Arc::new(h);
+        inner.insert(digest, Arc::clone(&h));
+        h
     }
 
     /// Cumulative hit count.
@@ -232,13 +239,13 @@ mod tests {
     use super::*;
     use hypart_core::Hierarchy;
 
-    fn toy_graph(n: usize) -> Arc<Hypergraph> {
+    fn toy_graph(n: usize) -> Hypergraph {
         let mut b = hypart_hypergraph::HypergraphBuilder::new();
         let vs: Vec<_> = (0..n).map(|_| b.add_vertex(1)).collect();
         for w in vs.windows(2) {
             b.add_net([w[0], w[1]], 1).unwrap();
         }
-        Arc::new(b.build().unwrap())
+        b.build().unwrap()
     }
 
     #[test]
@@ -247,15 +254,30 @@ mod tests {
         let (a, b, c) = (toy_graph(3), toy_graph(4), toy_graph(5));
         let (da, db, dc) = (a.content_digest(), b.content_digest(), c.content_digest());
         assert!(cache.get(da).is_none());
-        cache.insert(da, Arc::clone(&a));
-        cache.insert(db, Arc::clone(&b));
+        cache.intern(da, a);
+        cache.intern(db, b);
         assert!(cache.get(da).is_some());
         assert!(cache.get(db).is_some());
-        cache.insert(dc, Arc::clone(&c)); // evicts the oldest (a)
+        cache.intern(dc, c); // evicts the oldest (a)
         assert!(cache.get(da).is_none());
         assert!(cache.get(dc).is_some());
         assert_eq!(cache.hits(), 3);
-        assert_eq!(cache.misses(), 2);
+        assert_eq!(cache.misses(), 5, "2 failed lookups + 3 new uploads");
+    }
+
+    #[test]
+    fn re_uploads_count_as_hits_and_share_the_cached_instance() {
+        let cache = InstanceCache::new(2);
+        let digest = toy_graph(3).content_digest();
+        let first = cache.intern(digest, toy_graph(3));
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        let again = cache.intern(digest, toy_graph(3));
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert!(
+            Arc::ptr_eq(&first, &again),
+            "a re-upload keeps the cached copy"
+        );
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

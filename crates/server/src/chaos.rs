@@ -302,6 +302,10 @@ fn accept_loop(
             // client observes a clean close and retries.
             continue;
         };
+        // Chunks are forwarded as they arrive; with Nagle on, both legs
+        // would add a delayed-ACK wait to every small chunk and frame.
+        drop(client.set_nodelay(true));
+        drop(server.set_nodelay(true));
         let conn = conn_index;
         conn_index += 1;
         spawn_pumps(client, server, plan, conn, shared);

@@ -20,7 +20,7 @@
 //! unchanged: the first transport error is final.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::Read;
+use std::io::{BufReader, Read};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -185,11 +185,22 @@ struct PendingJob {
     terminal: Option<JobOutcome>,
 }
 
-/// A `TcpStream` read half that counts consumed bytes, so disconnect
-/// errors can report how far the response stream got.
+/// A buffered `TcpStream` read half that counts consumed bytes, so
+/// disconnect errors can report how far the response stream got. The
+/// buffer sits *under* the count: bytes read ahead but not yet handed
+/// to a frame do not count.
 struct CountingReader {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
     bytes: u64,
+}
+
+impl CountingReader {
+    fn new(stream: TcpStream) -> Self {
+        CountingReader {
+            stream: BufReader::new(stream),
+            bytes: 0,
+        }
+    }
 }
 
 impl Read for CountingReader {
@@ -223,15 +234,10 @@ impl Client {
     ///
     /// Propagates connection/setup failures.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
-        let writer = TcpStream::connect(addr)?;
-        let reader = writer.try_clone()?;
-        reader.set_read_timeout(Some(READ_TIMEOUT))?;
+        let (writer, reader) = Self::open(addr, READ_TIMEOUT)?;
         Ok(Client {
             writer,
-            reader: CountingReader {
-                stream: reader,
-                bytes: 0,
-            },
+            reader: CountingReader::new(reader),
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             pending: HashMap::new(),
             addr: None,
@@ -258,10 +264,7 @@ impl Client {
                 Ok((writer, reader)) => {
                     return Ok(Client {
                         writer,
-                        reader: CountingReader {
-                            stream: reader,
-                            bytes: 0,
-                        },
+                        reader: CountingReader::new(reader),
                         max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
                         pending: HashMap::new(),
                         addr: Some(addr.to_string()),
@@ -278,8 +281,16 @@ impl Client {
         })))
     }
 
-    fn open(addr: &str, read_timeout: Duration) -> std::io::Result<(TcpStream, TcpStream)> {
+    /// Connects and splits the socket into write and read halves.
+    /// Requests go out as single writes (see `write_frame`), so Nagle is
+    /// turned off: it would hold each small frame until the daemon's
+    /// delayed ACK of the previous one.
+    fn open(
+        addr: impl ToSocketAddrs,
+        read_timeout: Duration,
+    ) -> std::io::Result<(TcpStream, TcpStream)> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         let reader = writer.try_clone()?;
         reader.set_read_timeout(Some(read_timeout))?;
         Ok((writer, reader))
@@ -535,10 +546,7 @@ impl Client {
                 continue;
             };
             self.writer = writer;
-            self.reader = CountingReader {
-                stream: reader,
-                bytes: 0,
-            };
+            self.reader = CountingReader::new(reader);
             self.retries += 1;
             // Partially streamed traces of unfinished jobs died with the
             // old connection; resubmission re-streams from the start.

@@ -69,19 +69,40 @@ pub fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
-/// Writes one frame: big-endian `u32` length, then the serialized JSON.
+/// Appends one frame to `buf`: big-endian `u32` length, then the
+/// serialized JSON. Frames encoded back to back into one buffer are
+/// byte-identical to the same frames written one by one.
+///
+/// # Errors
+///
+/// A value serializing to more than `u32::MAX` bytes is rejected and
+/// `buf` is left as it was.
+pub fn encode_frame(buf: &mut Vec<u8>, value: &JsonValue) -> std::io::Result<()> {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    write!(buf, "{value}")?;
+    let Ok(len) = u32::try_from(buf.len() - start - 4) else {
+        buf.truncate(start);
+        return Err(std::io::Error::other(
+            "frame payload exceeds u32 length prefix",
+        ));
+    };
+    buf[start..start + 4].copy_from_slice(&len.to_be_bytes());
+    Ok(())
+}
+
+/// Writes one frame with a single `write_all`: the length prefix and the
+/// payload leave together, so a socket never holds a lone prefix back
+/// waiting for the peer's ACK.
 ///
 /// # Errors
 ///
 /// Propagates the underlying write failure; a value serializing to more
 /// than `u32::MAX` bytes is rejected without writing.
 pub fn write_frame<W: Write>(writer: &mut W, value: &JsonValue) -> std::io::Result<()> {
-    let text = value.to_string();
-    let bytes = text.as_bytes();
-    let len = u32::try_from(bytes.len())
-        .map_err(|_| std::io::Error::other("frame payload exceeds u32 length prefix"))?;
-    writer.write_all(&len.to_be_bytes())?;
-    writer.write_all(bytes)?;
+    let mut buf = Vec::new();
+    encode_frame(&mut buf, value)?;
+    writer.write_all(&buf)?;
     writer.flush()
 }
 

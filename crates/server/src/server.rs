@@ -30,7 +30,9 @@
 //! `stream_aborted` instead of pretending a silently truncated trace
 //! was delivered.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -47,7 +49,7 @@ use hypart_trace::{RunEvent, StopReason, TraceSink};
 
 use crate::cache::{HierarchyCache, HierarchyKey, InstanceCache};
 use crate::protocol::{
-    is_timeout, read_frame, write_frame, EvalRequest, FrameError, Health, InstanceRef, JobResult,
+    encode_frame, is_timeout, read_frame, EvalRequest, FrameError, Health, InstanceRef, JobResult,
     PartitionRequest, Request, Response, StatsSnapshot, DEFAULT_MAX_FRAME_BYTES,
 };
 use crate::queue::BoundedQueue;
@@ -172,11 +174,18 @@ impl ConnWriter {
 
     /// Sends one response frame; `false` once the writer is poisoned.
     fn send(&self, response: &Response) -> bool {
+        let mut frame = Vec::new();
+        encode_frame(&mut frame, &response.to_json()).is_ok() && self.send_encoded(&frame)
+    }
+
+    /// Writes already-encoded frames in one `write_all`; `false` once the
+    /// writer is poisoned.
+    fn send_encoded(&self, frames: &[u8]) -> bool {
         if self.poisoned.load(Ordering::Relaxed) {
             return false;
         }
         let mut stream = self.stream.lock().unwrap_or_else(|e| e.into_inner());
-        match write_frame(&mut *stream, &response.to_json()) {
+        match stream.write_all(frames) {
             Ok(()) => true,
             Err(_) => {
                 self.poisoned.store(true, Ordering::Relaxed);
@@ -328,10 +337,18 @@ struct RunningJob {
     fired: Arc<AtomicBool>,
 }
 
-/// The trace sink of one running job: forwards engine events as `event`
-/// frames. A poisoned writer cancels the job's token, so the engine
-/// stops at its next budget check instead of computing for a client
-/// that can no longer hear the answer.
+/// Encoded `event` frames a [`StreamSink`] holds before writing them
+/// out in one go.
+const STREAM_BATCH_BYTES: usize = 64 << 10;
+
+/// The trace sink of one running job: encodes engine events as `event`
+/// frames into a per-job batch and writes the batch in one go when it
+/// reaches [`STREAM_BATCH_BYTES`], when the job ends, and on drop — so
+/// every event leaves before the job's result frame. A poisoned writer,
+/// noticed at the next flush (or at once, when another frame already
+/// poisoned it), cancels the job's token, so the engine stops at its
+/// next budget check instead of computing for a client that can no
+/// longer hear the answer.
 struct StreamSink {
     writer: Arc<ConnWriter>,
     id: u64,
@@ -342,6 +359,31 @@ struct StreamSink {
     /// request token), so the sink only stops streaming instead of
     /// cancelling.
     durable: bool,
+    /// Encoded frames not yet written. The engines hold the sink as a
+    /// plain `&dyn TraceSink` on one thread, so a `RefCell` suffices.
+    batch: RefCell<Vec<u8>>,
+}
+
+impl StreamSink {
+    /// Writes the batch out in one go.
+    fn flush(&self) {
+        let mut batch = self.batch.borrow_mut();
+        if !batch.is_empty() {
+            let sent = self.writer.send_encoded(&batch);
+            batch.clear();
+            if !sent {
+                self.stream_failed();
+            }
+        }
+    }
+
+    /// The client can no longer hear this job: stop computing for it,
+    /// unless it is durable.
+    fn stream_failed(&self) {
+        if !self.durable {
+            self.token.cancel();
+        }
+    }
 }
 
 impl TraceSink for StreamSink {
@@ -349,13 +391,31 @@ impl TraceSink for StreamSink {
         if !self.enabled {
             return;
         }
-        if !self.writer.send(&Response::Event { id: self.id, event }) && !self.durable {
-            self.token.cancel();
+        let mut batch = self.batch.borrow_mut();
+        // Encoding for a writer another frame already poisoned is wasted.
+        let queued = !self.writer.is_poisoned()
+            && encode_frame(
+                &mut batch,
+                &Response::Event { id: self.id, event }.to_json(),
+            )
+            .is_ok();
+        let full = batch.len() >= STREAM_BATCH_BYTES;
+        drop(batch);
+        if !queued {
+            self.stream_failed();
+        } else if full {
+            self.flush();
         }
     }
 
     fn is_enabled(&self) -> bool {
         self.enabled
+    }
+}
+
+impl Drop for StreamSink {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -626,6 +686,10 @@ fn reader_loop(stream: TcpStream, conn_id: u64, shared: &Arc<Shared>) {
         shared.stats.io_failures.fetch_add(1, Ordering::Relaxed);
         return;
     }
+    // Every response leaves in one write; with Nagle on, each small frame
+    // would still wait in the kernel for the client's delayed ACK of the
+    // previous one. A socket that refuses the option costs latency only.
+    drop(stream.set_nodelay(true));
     let writer = match stream.try_clone() {
         Ok(w) => {
             // Slow-consumer defense: a peer that stops reading makes
@@ -915,9 +979,7 @@ fn resolve_instance(
             match hgr::read(text.as_bytes()) {
                 Ok(h) => {
                     let digest = h.content_digest();
-                    let h = Arc::new(h);
-                    shared.instances.insert(digest, Arc::clone(&h));
-                    Some((h, digest))
+                    Some((shared.instances.intern(digest, h), digest))
                 }
                 Err(e) => {
                     shared.stats.errors.fetch_add(1, Ordering::Relaxed);
@@ -1174,6 +1236,7 @@ fn partition_job(
         token: job.token.clone(),
         enabled: req.trace,
         durable: job.request_token.is_some(),
+        batch: RefCell::default(),
     };
     // Move the worker's long-lived workspaces into this job's context
     // and reclaim them afterwards.
@@ -1196,6 +1259,10 @@ fn partition_job(
     };
     ctx_template.workspace = std::mem::take(&mut ctx.workspace);
     ctx_template.coarsen = std::mem::take(&mut ctx.coarsen);
+    // The last events leave before the worker sends the result frame,
+    // and a failed write here still poisons the writer in time for the
+    // worker's `stream_aborted` check.
+    sink.flush();
     result
 }
 

@@ -1,14 +1,18 @@
 //! Edge-case coverage for the framing layer: `read_frame` (and through
 //! it `read_exact_retry`) against interrupted syscalls, read timeouts
 //! before vs inside a frame, torn streams, and payloads at the frame
-//! cap boundary.
+//! cap boundary; on the write side, one `write` per frame and batched
+//! event frames that are byte-identical to frames written one by one.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::VecDeque;
-use std::io::Read;
+use std::io::{Read, Write};
 
-use hypart_server::protocol::{is_timeout, read_frame, FrameError};
+use hypart_server::protocol::{
+    encode_frame, is_timeout, read_frame, write_frame, FrameError, Request, Response,
+};
+use hypart_trace::RunEvent;
 
 /// One scripted reader step: deliver bytes, or fail with an error kind.
 enum Step {
@@ -144,5 +148,115 @@ fn payload_one_past_cap_is_rejected_without_reading_it() {
             assert_eq!(max, CAP);
         }
         other => panic!("expected TooLarge, got {other:?}"),
+    }
+}
+
+/// A `Write` impl that accepts everything and counts `write` calls.
+#[derive(Default)]
+struct CountingWriter {
+    bytes: Vec<u8>,
+    writes: usize,
+}
+
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Events covering numbers, negatives, nested kinds and strings that
+/// need escaping.
+fn sample_events() -> Vec<RunEvent> {
+    vec![
+        RunEvent::TrialBegin {
+            trial: 0,
+            seed: 1 << 40,
+            heuristic: "ml \"clip\"\\\u{1}\t".to_string(),
+            instance: "ibm01 — λ😀".to_string(),
+        },
+        RunEvent::RunBegin { cut: 12 },
+        RunEvent::Move {
+            vertex: 3,
+            gain: -2,
+            cut: 14,
+        },
+        RunEvent::PassEnd {
+            pass: 0,
+            cut: 9,
+            moves_made: 5,
+            moves_rolled_back: 2,
+            leftovers: true,
+            corked: true,
+        },
+        RunEvent::HierarchyReused { levels: 4 },
+        RunEvent::RunEnd { cut: 9, passes: 1 },
+    ]
+}
+
+#[test]
+fn write_frame_makes_one_write_per_frame() {
+    let mut out = CountingWriter::default();
+    let frames = [
+        Request::Stats.to_json(),
+        Response::Event {
+            id: 7,
+            event: RunEvent::RunBegin { cut: 3 },
+        }
+        .to_json(),
+        // Large enough that a writer splitting prefix and payload, or
+        // chunking the payload, would show up as extra calls.
+        hypart_trace::json::JsonValue::string("x".repeat(1 << 20)),
+    ];
+    for (i, value) in frames.iter().enumerate() {
+        write_frame(&mut out, value).unwrap();
+        assert_eq!(out.writes, i + 1, "frame {i} took more than one write");
+    }
+    // And the single write carried a well-formed frame each time.
+    let mut reader = &out.bytes[..];
+    for value in &frames {
+        assert_eq!(
+            read_frame(&mut reader, 2 << 20).unwrap().as_ref(),
+            Some(value)
+        );
+    }
+    assert!(reader.is_empty());
+}
+
+#[test]
+fn event_batch_is_byte_identical_to_frames_written_one_by_one() {
+    let events = sample_events();
+    for id in [0, 42, u64::from(u32::MAX) + 1] {
+        let frames: Vec<_> = events
+            .iter()
+            .map(|event| {
+                Response::Event {
+                    id,
+                    event: event.clone(),
+                }
+                .to_json()
+            })
+            .collect();
+        let mut batch = Vec::new();
+        for frame in &frames {
+            encode_frame(&mut batch, frame).unwrap();
+        }
+        let mut one_by_one = CountingWriter::default();
+        for frame in &frames {
+            write_frame(&mut one_by_one, frame).unwrap();
+        }
+        assert_eq!(one_by_one.writes, frames.len());
+        assert_eq!(
+            batch,
+            one_by_one.bytes,
+            "a batch of {} event frames must match {} write_frame calls",
+            frames.len(),
+            frames.len()
+        );
     }
 }

@@ -1,5 +1,6 @@
 //! Live-socket tests of the daemon: typed errors, cancellation,
-//! trace streaming, the hierarchy-cache trace contract, and
+//! trace streaming (per-job frame order under batching), the
+//! hierarchy-cache trace contract, instance-cache accounting, and
 //! poisoned-stream aborts.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -8,9 +9,13 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use hypart_server::protocol::{digest_to_hex, EvalRequest, InstanceRef, PartitionRequest, Request};
+use hypart_core::{AuditLevel, BalanceConstraint, RunCtx};
+use hypart_ml::{MlConfig, MlPartitioner};
+use hypart_server::protocol::{
+    digest_to_hex, EvalRequest, InstanceRef, PartitionRequest, Request, Response,
+};
 use hypart_server::{Client, JobOutcome, Server, ServerConfig};
-use hypart_trace::{RunEvent, StopReason};
+use hypart_trace::{MemorySink, RunEvent, StopReason};
 
 fn hgr_text(cells: usize, seed: u64) -> String {
     let h = hypart_benchgen::mcnc_like(cells, seed);
@@ -398,4 +403,140 @@ fn remote_shutdown_op_stops_the_daemon() {
             "daemon must not answer after shutdown"
         );
     }
+}
+
+/// Inline uploads go through the instance cache too: a new digest
+/// counts as a miss, a digest job or a re-upload of known content as a
+/// hit.
+#[test]
+fn inline_uploads_count_as_instance_cache_misses_and_hits() {
+    let server = start_default();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let text = hgr_text(60, 8);
+    client
+        .send(&Request::Partition(PartitionRequest::new(
+            1,
+            InstanceRef::Inline(text.clone()),
+            3,
+        )))
+        .unwrap();
+    let digest = match client.wait_outcome(1).unwrap() {
+        JobOutcome::Finished { result, .. } => result.digest,
+        other => panic!("inline job failed: {other:?}"),
+    };
+    client
+        .send(&Request::Partition(PartitionRequest::new(
+            2,
+            InstanceRef::Digest(digest),
+            4,
+        )))
+        .unwrap();
+    assert!(matches!(
+        client.wait_outcome(2).unwrap(),
+        JobOutcome::Finished { .. }
+    ));
+    let stats = client.stats().unwrap();
+    assert_eq!(
+        (stats.instance_misses, stats.instance_hits),
+        (1, 1),
+        "one new upload, then one digest hit"
+    );
+
+    client
+        .send(&Request::Partition(PartitionRequest::new(
+            3,
+            InstanceRef::Inline(text),
+            5,
+        )))
+        .unwrap();
+    match client.wait_outcome(3).unwrap() {
+        JobOutcome::Finished { result, .. } => assert_eq!(result.digest, digest),
+        other => panic!("re-upload failed: {other:?}"),
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!(
+        (stats.instance_misses, stats.instance_hits),
+        (1, 2),
+        "re-uploading known content is a hit"
+    );
+    server.shutdown();
+}
+
+/// The trace of a cold 2-way job run locally the way the daemon runs
+/// it: build the hierarchy, then partition from it.
+fn local_trace(request: &PartitionRequest, text: &str) -> Vec<RunEvent> {
+    let h = hypart_hypergraph::io::hgr::read(text.as_bytes()).unwrap();
+    let sink = MemorySink::new();
+    let partitioner = MlPartitioner::new(MlConfig::default());
+    let constraint = BalanceConstraint::with_fraction(h.total_vertex_weight(), request.fraction);
+    let mut ctx = RunCtx::new(request.seed)
+        .with_sink(&sink)
+        .with_audit(AuditLevel::Checkpoints);
+    let hierarchy = partitioner.coarsen_hierarchy_with(&h, &mut ctx);
+    partitioner.run_from_hierarchy_with(&h, &hierarchy, &constraint, &mut ctx);
+    drop(ctx);
+    sink.events()
+}
+
+/// Batched streaming keeps the per-job frame contract: with two traced
+/// jobs running at once on one connection, each job's events arrive
+/// after its ack, before its result, and in emission order — bitwise
+/// the trace a local `MemorySink` run of the same request records.
+#[test]
+fn concurrent_traced_jobs_keep_frame_order_and_match_a_local_run() {
+    let server = start_default();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let jobs: Vec<(PartitionRequest, String)> = [(1, 400, 21, 5), (2, 500, 22, 6)]
+        .into_iter()
+        .map(|(id, cells, instance_seed, seed)| {
+            let text = hgr_text(cells, instance_seed);
+            let mut req = PartitionRequest::new(id, InstanceRef::Inline(text.clone()), seed);
+            req.trace = true;
+            (req, text)
+        })
+        .collect();
+    for (req, _) in &jobs {
+        client.send(&Request::Partition(req.clone())).unwrap();
+    }
+
+    let slot = |id: u64| usize::try_from(id - 1).unwrap();
+    let mut acked = [false; 2];
+    let mut finished = [false; 2];
+    let mut events: [Vec<RunEvent>; 2] = [Vec::new(), Vec::new()];
+    while !finished.iter().all(|&f| f) {
+        match client.read_response().unwrap() {
+            Response::Accepted { id } => {
+                let j = slot(id);
+                assert!(
+                    !acked[j] && events[j].is_empty() && !finished[j],
+                    "job {id}: the ack must be its first frame"
+                );
+                acked[j] = true;
+            }
+            Response::Event { id, event } => {
+                let j = slot(id);
+                assert!(acked[j], "job {id}: event before its ack");
+                assert!(!finished[j], "job {id}: event after its result");
+                events[j].push(event);
+            }
+            Response::Result { id, result } => {
+                let j = slot(id);
+                assert!(acked[j], "job {id}: result before its ack");
+                assert!(!finished[j], "job {id}: two results");
+                assert!(result.audit_clean && !result.hierarchy_reused);
+                finished[j] = true;
+            }
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+    for (j, (req, text)) in jobs.iter().enumerate() {
+        let local = local_trace(req, text);
+        assert!(!local.is_empty());
+        assert_eq!(
+            events[j], local,
+            "job {}: streamed trace must equal the local run, in order",
+            req.id
+        );
+    }
+    server.shutdown();
 }

@@ -66,6 +66,7 @@ impl JsonValue {
     /// problem.
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -205,23 +206,36 @@ impl fmt::Display for JsonValue {
 }
 
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    f.write_str("\"")?;
+    // Every escaped character is ASCII, and no byte of a multi-byte
+    // UTF-8 sequence is, so scanning bytes splits `s` only at char
+    // boundaries: plain runs go out in one `write_str` each.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        f.write_str(&s[run..i])?;
+        match escape {
+            Some(escape) => f.write_str(escape)?,
+            None => write!(f, "\\u{b:04x}")?,
         }
+        run = i + 1;
     }
-    write!(f, "\"")
+    f.write_str(&s[run..])?;
+    f.write_str("\"")
 }
 
 /// Strict recursive-descent JSON parser over a byte slice.
 struct Parser<'a> {
+    /// The document; `bytes` is its byte view, kept for cheap peeking.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -296,13 +310,29 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the plain run up to the next quote or backslash in one
+            // step. Both are ASCII, so the run ends on a char boundary and
+            // the whole string decodes in linear time.
+            let start = self.pos;
+            while let Some(b) = self.peek() {
+                if b == b'"' || b == b'\\' {
+                    break;
+                }
+                self.pos += 1;
+            }
+            out.push_str(
+                self.text
+                    .get(start..self.pos)
+                    .ok_or_else(|| format!("invalid utf-8 in string at byte {start}"))?,
+            );
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The run stopped at a backslash: decode one escape.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -336,14 +366,6 @@ impl Parser<'_> {
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one full UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -415,6 +437,7 @@ impl Parser<'_> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
