@@ -19,7 +19,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::profile::Ispd98Profile;
-use hypart_hypergraph::{Hypergraph, HypergraphBuilder, VertexId};
+use hypart_hypergraph::{Hypergraph, HypergraphBuilder, VertexId, VertexStamps};
 
 /// Fraction of nets that are "huge" (clock/reset-like).
 const HUGE_NET_FRACTION: f64 = 0.001;
@@ -88,6 +88,8 @@ pub fn ispd98_like(index: usize, scale: f64, seed: u64) -> Hypergraph {
     let tail_mean = ((avg_net - 2.0) / (1.0 - two_pin_mass)).max(0.25);
     let reach = (n / 20).clamp(4, 2000); // locality window half-width
 
+    let mut pins = Vec::new();
+    let mut seen = VertexStamps::new();
     for net_idx in 0..m {
         let size = if net_idx < huge_nets {
             let cap = ((n as f64 * HUGE_NET_MAX_FRACTION) as usize).max(60);
@@ -98,8 +100,10 @@ pub fn ispd98_like(index: usize, scale: f64, seed: u64) -> Hypergraph {
             2 + sample_geometric(&mut rng, tail_mean).min(40)
         };
         let driver = rng.gen_range(0..n);
-        let mut pins = Vec::with_capacity(size);
+        pins.clear();
+        seen.clear(n);
         pins.push(VertexId::from_index(driver));
+        seen.insert(VertexId::from_index(driver));
         let mut guard = 0;
         while pins.len() < size && guard < size * 8 {
             guard += 1;
@@ -111,12 +115,12 @@ pub fn ispd98_like(index: usize, scale: f64, seed: u64) -> Hypergraph {
             };
             let target = target.min(n - 1);
             let vid = VertexId::from_index(target);
-            if !pins.contains(&vid) {
+            if seen.insert(vid) {
                 pins.push(vid);
             }
         }
         builder
-            .add_net(pins, 1)
+            .add_net(pins.iter().copied(), 1)
             .expect("generated pins are always valid");
     }
 

@@ -8,7 +8,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use hypart_hypergraph::{Hypergraph, HypergraphBuilder, VertexId};
+use hypart_hypergraph::{Hypergraph, HypergraphBuilder, VertexId, VertexStamps};
 
 /// Generates an MCNC-like unit-area circuit with `cells` cells,
 /// deterministically from `seed`. Net count ≈ cells, average net size
@@ -24,6 +24,8 @@ pub fn mcnc_like(cells: usize, seed: u64) -> Hypergraph {
     let mut builder = HypergraphBuilder::with_capacity(cells, nets);
     builder.add_vertices(cells, 1);
     let reach = (cells / 16).clamp(3, 200);
+    let mut pins = Vec::new();
+    let mut seen = VertexStamps::new();
     for _ in 0..nets {
         let size = match rng.gen_range(0u32..100) {
             0..=54 => 2,
@@ -33,7 +35,10 @@ pub fn mcnc_like(cells: usize, seed: u64) -> Hypergraph {
             _ => rng.gen_range(6..=12usize.min(cells)),
         };
         let driver = rng.gen_range(0..cells);
-        let mut pins = vec![VertexId::from_index(driver)];
+        pins.clear();
+        seen.clear(cells);
+        pins.push(VertexId::from_index(driver));
+        seen.insert(VertexId::from_index(driver));
         let mut guard = 0;
         while pins.len() < size && guard < size * 8 {
             guard += 1;
@@ -45,11 +50,13 @@ pub fn mcnc_like(cells: usize, seed: u64) -> Hypergraph {
             }
             .min(cells - 1);
             let vid = VertexId::from_index(target);
-            if !pins.contains(&vid) {
+            if seen.insert(vid) {
                 pins.push(vid);
             }
         }
-        builder.add_net(pins, 1).expect("pins valid");
+        builder
+            .add_net(pins.iter().copied(), 1)
+            .expect("pins valid");
     }
     builder
         .name(format!("mcnc{cells}"))

@@ -3,7 +3,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use hypart_hypergraph::{Hypergraph, HypergraphBuilder, VertexId};
+use hypart_hypergraph::{Hypergraph, HypergraphBuilder, VertexId, VertexStamps};
 
 /// Generates a random hypergraph with `vertices` vertices and `nets` nets,
 /// each net a uniform sample of 2..=`max_net_size` distinct vertices;
@@ -27,16 +27,21 @@ pub fn random_hypergraph(
     for _ in 0..vertices {
         builder.add_vertex(rng.gen_range(1..=max_vertex_weight));
     }
+    let mut pins = Vec::new();
+    let mut seen = VertexStamps::new();
     for _ in 0..nets {
         let size = rng.gen_range(2..=max_net_size.min(vertices));
-        let mut pins = Vec::with_capacity(size);
+        pins.clear();
+        seen.clear(vertices);
         while pins.len() < size {
             let v = VertexId::from_index(rng.gen_range(0..vertices));
-            if !pins.contains(&v) {
+            if seen.insert(v) {
                 pins.push(v);
             }
         }
-        builder.add_net(pins, 1).expect("pins valid");
+        builder
+            .add_net(pins.iter().copied(), 1)
+            .expect("pins valid");
     }
     builder
         .name(format!("rand{vertices}x{nets}"))

@@ -3,6 +3,7 @@
 use crate::error::BuildError;
 use crate::graph::{CsrScratch, Hypergraph};
 use crate::ids::{NetId, PartId, VertexId};
+use crate::stamp::VertexStamps;
 
 /// Builder for [`Hypergraph`].
 ///
@@ -36,7 +37,8 @@ pub struct HypergraphBuilder {
     net_pin_offsets: Vec<u32>,
     net_pin_list: Vec<VertexId>,
     fixed: Vec<(u32, PartId)>,
-    scratch: Vec<VertexId>,
+    /// Pins already taken by the net being added.
+    seen: VertexStamps,
 }
 
 impl Default for HypergraphBuilder {
@@ -56,7 +58,7 @@ impl HypergraphBuilder {
             net_pin_offsets: vec![0],
             net_pin_list: Vec::new(),
             fixed: Vec::new(),
-            scratch: Vec::new(),
+            seen: VertexStamps::new(),
         }
     }
 
@@ -121,6 +123,12 @@ impl HypergraphBuilder {
         first
     }
 
+    /// Overwrites the weight of an added vertex (the `.hgr` reader learns
+    /// vertex weights only after the nets that reference the vertices).
+    pub(crate) fn set_vertex_weight(&mut self, v: VertexId, weight: u64) {
+        self.vertex_weights[v.index()] = weight;
+    }
+
     /// Adds a net over the given pins with the given weight and returns its
     /// id. Duplicate pins are collapsed; pin order is otherwise preserved.
     ///
@@ -133,29 +141,30 @@ impl HypergraphBuilder {
         I: IntoIterator<Item = VertexId>,
     {
         let net_index = self.net_weights.len();
-        self.scratch.clear();
+        let num_vertices = self.vertex_weights.len();
+        let start = self.net_pin_list.len();
+        self.seen.clear(num_vertices);
         for v in pins {
-            if v.index() >= self.vertex_weights.len() {
+            if v.index() >= num_vertices {
+                self.net_pin_list.truncate(start);
                 return Err(BuildError::UnknownVertex {
                     net: net_index,
                     vertex: v.raw(),
-                    num_vertices: self.vertex_weights.len(),
+                    num_vertices,
                 });
             }
-            if !self.scratch.contains(&v) {
-                self.scratch.push(v);
+            if self.seen.insert(v) {
+                self.net_pin_list.push(v);
             }
         }
-        if self.scratch.is_empty() {
+        let new_len = self.net_pin_list.len();
+        if new_len == start {
             return Err(BuildError::EmptyNet { net: net_index });
         }
-        let new_len = self
-            .net_pin_list
-            .len()
-            .checked_add(self.scratch.len())
-            .filter(|&l| u32::try_from(l).is_ok())
-            .ok_or(BuildError::TooManyPins)?;
-        self.net_pin_list.extend_from_slice(&self.scratch);
+        if u32::try_from(new_len).is_err() {
+            self.net_pin_list.truncate(start);
+            return Err(BuildError::TooManyPins);
+        }
         self.net_pin_offsets.push(new_len as u32);
         self.net_weights.push(weight);
         Ok(NetId::from_index(net_index))

@@ -11,7 +11,7 @@
 //! `fmt` is omitted or one of `1` (net weights), `10` (vertex weights),
 //! `11` (both) — exactly as in the hMETIS user manual.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{Read, Write};
 use std::path::Path;
 
 use crate::error::ParseError;
@@ -70,6 +70,12 @@ impl HgrFormat {
 
 /// Parses a hypergraph from `.hgr` text.
 ///
+/// The input is read into memory once and scanned in place: lines split
+/// at `\n`, tokens at the characters [`char::is_whitespace`] accepts, and
+/// pins go straight into the builder. Lines holding non-ASCII bytes must
+/// be valid UTF-8 and fall back to `str` tokenization, so every input is
+/// tokenized as a line-by-line `str` reader would.
+///
 /// # Errors
 ///
 /// Returns [`ParseError`] on I/O failure, malformed syntax, out-of-range
@@ -86,43 +92,40 @@ impl HgrFormat {
 /// # Ok(())
 /// # }
 /// ```
-pub fn read<R: std::io::Read>(reader: R) -> Result<Hypergraph, ParseError> {
-    let reader = BufReader::new(reader);
-    let mut lines = reader.lines().enumerate();
+pub fn read<R: Read>(mut reader: R) -> Result<Hypergraph, ParseError> {
+    let mut text = Vec::new();
+    reader.read_to_end(&mut text)?;
+    parse(&text)
+}
 
-    let (header_line_no, header) = loop {
-        match lines.next() {
-            Some((i, line)) => {
-                let line = line?;
-                if i == 0 && line.starts_with('\u{feff}') {
-                    return Err(ParseError::syntax(
-                        1,
-                        "file begins with a UTF-8 byte-order mark; re-save without a BOM",
-                    ));
-                }
-                let t = line.trim();
-                if t.is_empty() || t.starts_with('%') {
-                    continue;
-                }
-                break (i + 1, line);
-            }
-            None => return Err(ParseError::syntax(1, "empty file: missing header")),
-        }
-    };
+/// Reads an `.hgr` file from `path`.
+///
+/// # Errors
+///
+/// See [`read`].
+pub fn read_path(path: impl AsRef<Path>) -> Result<Hypergraph, ParseError> {
+    parse(&std::fs::read(path)?)
+}
 
-    let mut it = header.split_whitespace();
-    let num_nets: usize = parse_field(it.next(), header_line_no, "net count")?;
-    let num_vertices: usize = parse_field(it.next(), header_line_no, "vertex count")?;
-    let fmt = match it.next() {
+fn parse(text: &[u8]) -> Result<Hypergraph, ParseError> {
+    let mut lines = Lines::new(text);
+    let header = lines
+        .next_line()?
+        .ok_or_else(|| ParseError::syntax(1, "empty file: missing header"))?;
+    let header_line_no = header.no;
+    let num_nets: usize = parse_field(header.field(0), header_line_no, "net count")?;
+    let num_vertices: usize = parse_field(header.field(1), header_line_no, "vertex count")?;
+    let fmt = match header.field(2) {
         None => HgrFormat::Plain,
         Some(tok) => {
-            let code: u32 = tok
-                .parse()
-                .map_err(|_| ParseError::syntax(header_line_no, "fmt field is not an integer"))?;
+            let code = tok
+                .ok()
+                .and_then(|v| u32::try_from(v).ok())
+                .ok_or_else(|| ParseError::syntax(header_line_no, "fmt field is not an integer"))?;
             HgrFormat::from_code(code, header_line_no)?
         }
     };
-    if it.next().is_some() {
+    if header.field(3).is_some() {
         return Err(ParseError::syntax(
             header_line_no,
             "trailing tokens after header",
@@ -140,106 +143,278 @@ pub fn read<R: std::io::Read>(reader: R) -> Result<Hypergraph, ParseError> {
     }
 
     let mut builder = HypergraphBuilder::with_capacity(num_vertices, num_nets);
-    // Vertex weights are read after the nets; add unit placeholders now and
-    // rebuild at the end if the file carries vertex weights.
+    // Vertex weights follow the nets; unit placeholders are overwritten
+    // as the weights arrive.
     builder.add_vertices(num_vertices, 1);
 
-    let mut nets: Vec<(Vec<VertexId>, u32)> = Vec::with_capacity(num_nets);
     let mut nets_read = 0usize;
-    let mut vertex_weights: Vec<u64> = Vec::new();
+    let mut weights_read = 0usize;
     let mut total_weight = 0u64;
-    let mut last_line = header_line_no;
 
-    for (i, line) in lines {
-        let line_no = i + 1;
-        last_line = line_no;
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('%') {
-            continue;
-        }
+    while let Some(line) = lines.next_line()? {
+        let line_no = line.no;
         if nets_read < num_nets {
-            let mut toks = t.split_whitespace();
-            let weight: u32 = if fmt.has_net_weights() {
-                parse_field(toks.next(), line_no, "net weight")?
+            let (weight, first_pin) = if fmt.has_net_weights() {
+                (parse_field(line.field(0), line_no, "net weight")?, 1)
             } else {
-                1
+                (1, 0)
             };
-            let mut pins = Vec::new();
-            for tok in toks {
-                let one_based: usize = tok.parse().map_err(|_| {
-                    ParseError::syntax(line_no, format!("pin `{tok}` is not an integer"))
-                })?;
-                if one_based == 0 || one_based > num_vertices {
-                    return Err(ParseError::syntax(
-                        line_no,
-                        format!("pin {one_based} out of range 1..={num_vertices}"),
-                    ));
-                }
-                pins.push(VertexId::from_index(one_based - 1));
+            let pins = line.vals.get(first_pin..).unwrap_or_default();
+            if let Some(bad) = pins.iter().find(|&&p| p == 0 || p > num_vertices as u64) {
+                return Err(ParseError::syntax(
+                    line_no,
+                    format!("pin {bad} out of range 1..={num_vertices}"),
+                ));
+            }
+            if let Some(tok) = line.bad {
+                return Err(ParseError::syntax(
+                    line_no,
+                    format!("pin `{}` is not an integer", String::from_utf8_lossy(tok)),
+                ));
             }
             if pins.is_empty() {
                 return Err(ParseError::syntax(line_no, "net line has no pins"));
             }
-            nets.push((pins, weight));
+            builder.add_net(
+                pins.iter().map(|&p| VertexId::from_index(p as usize - 1)),
+                weight,
+            )?;
             nets_read += 1;
-        } else if fmt.has_vertex_weights() && vertex_weights.len() < num_vertices {
-            let w: u64 = t.parse().map_err(|_| {
-                ParseError::syntax(line_no, format!("vertex weight `{t}` is not an integer"))
-            })?;
+        } else if fmt.has_vertex_weights() && weights_read < num_vertices {
+            // The whole trimmed line must be one integer.
+            let (&[w], None) = (line.vals, line.bad) else {
+                return Err(ParseError::syntax(
+                    line_no,
+                    format!(
+                        "vertex weight `{}` is not an integer",
+                        String::from_utf8_lossy(line.raw).trim()
+                    ),
+                ));
+            };
             total_weight = total_weight
                 .checked_add(w)
                 .ok_or_else(|| ParseError::syntax(line_no, "total vertex weight overflows u64"))?;
-            vertex_weights.push(w);
+            builder.set_vertex_weight(VertexId::from_index(weights_read), w);
+            weights_read += 1;
         } else {
             return Err(ParseError::syntax(line_no, "unexpected trailing content"));
         }
     }
 
+    let last_line = lines.line_no;
     if nets_read != num_nets {
         return Err(ParseError::syntax(
             last_line,
             format!("header promised {num_nets} nets but file contains {nets_read}"),
         ));
     }
-    if fmt.has_vertex_weights() && vertex_weights.len() != num_vertices {
+    if fmt.has_vertex_weights() && weights_read != num_vertices {
         return Err(ParseError::syntax(
             last_line,
             format!(
-                "header promised {} vertex weights but file contains {}",
-                num_vertices,
-                vertex_weights.len()
+                "header promised {num_vertices} vertex weights but file contains {weights_read}"
             ),
         ));
-    }
-
-    let mut builder = if fmt.has_vertex_weights() {
-        let mut b = HypergraphBuilder::with_capacity(num_vertices, num_nets);
-        for &w in &vertex_weights {
-            b.add_vertex(w);
-        }
-        b
-    } else {
-        builder
-    };
-    for (pins, w) in nets {
-        builder.add_net(pins, w)?;
     }
     Ok(builder.build()?)
 }
 
-/// Reads an `.hgr` file from `path`.
-///
-/// # Errors
-///
-/// See [`read`].
-pub fn read_path(path: impl AsRef<Path>) -> Result<Hypergraph, ParseError> {
-    let file = std::fs::File::open(path)?;
-    read(file)
+/// The lines of a byte buffer, split at `\n` as
+/// [`BufRead::lines`](std::io::BufRead::lines) splits them (a final `\n`
+/// ends the last line rather than starting an empty one), and their
+/// tokens.
+struct Lines<'a> {
+    rest: &'a [u8],
+    /// Number of the last line read (1-based).
+    line_no: usize,
+    vals: Vec<u64>,
 }
+
+/// The tokens of one line that is neither blank nor a comment: the values
+/// of its leading unsigned-integer tokens (`str::parse` syntax: an
+/// optional `+`, then digits, no overflow), then the first token that is
+/// not one. Tokens after that one are never looked at.
+struct Line<'l> {
+    no: usize,
+    raw: &'l [u8],
+    vals: &'l [u64],
+    bad: Option<&'l [u8]>,
+}
+
+impl<'l> Line<'l> {
+    /// Token `i` as a value or, if it is not an integer, as text; `None`
+    /// past the last token, assuming tokens before `i` were integers.
+    fn field(&self, i: usize) -> Option<Result<u64, &'l [u8]>> {
+        match self.vals.get(i) {
+            Some(&v) => Some(Ok(v)),
+            None if i == self.vals.len() => self.bad.map(Err),
+            None => None,
+        }
+    }
+}
+
+impl<'a> Lines<'a> {
+    fn new(text: &'a [u8]) -> Self {
+        Lines {
+            rest: text,
+            line_no: 0,
+            vals: Vec::new(),
+        }
+    }
+
+    /// Reads lines up to the next one that is neither blank nor a comment.
+    /// A line is scanned as decimal tokens first; only a line with any
+    /// other byte is split into text tokens.
+    ///
+    /// # Errors
+    ///
+    /// [`ParseError::Io`] of kind `InvalidData` when a line is not UTF-8,
+    /// as a line-by-line `String` reader reports it; a syntax error when
+    /// line 1 begins with a byte-order mark.
+    fn next_line(&mut self) -> Result<Option<Line<'_>>, ParseError> {
+        loop {
+            if self.rest.is_empty() {
+                return Ok(None);
+            }
+            self.line_no += 1;
+            let text = self.rest;
+            let (end, bad) = match scan_decimal_line(text, &mut self.vals) {
+                Some(end) => (end, None),
+                None => {
+                    let end = text.iter().position(|&b| b == b'\n').unwrap_or(text.len());
+                    (
+                        end,
+                        split_tokens(self.line_no, &text[..end], &mut self.vals)?,
+                    )
+                }
+            };
+            self.rest = text.get(end + 1..).unwrap_or_default();
+            if self.vals.is_empty() && bad.is_none() {
+                continue; // blank or comment
+            }
+            return Ok(Some(Line {
+                no: self.line_no,
+                raw: &text[..end],
+                vals: &self.vals,
+                bad,
+            }));
+        }
+    }
+}
+
+/// Splits line `line_no` at whitespace, the slow path for lines the
+/// decimal scan rejected: fills `vals` with the leading integer tokens
+/// and returns the first other token. A comment line yields no tokens.
+fn split_tokens<'t>(
+    line_no: usize,
+    raw: &'t [u8],
+    vals: &mut Vec<u64>,
+) -> Result<Option<&'t [u8]>, ParseError> {
+    vals.clear();
+    let s = std::str::from_utf8(raw).map_err(|_| {
+        ParseError::Io(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        ))
+    })?;
+    if line_no == 1 && s.starts_with('\u{feff}') {
+        return Err(ParseError::syntax(
+            1,
+            "file begins with a UTF-8 byte-order mark; re-save without a BOM",
+        ));
+    }
+    Ok(push_values(s.split_whitespace().map(str::as_bytes), vals))
+}
+
+/// Pushes the values of the leading integer tokens of `toks` and returns
+/// the first other token; a first token starting with `%` makes the line
+/// a comment, with no tokens.
+fn push_values<'t>(toks: impl Iterator<Item = &'t [u8]>, vals: &mut Vec<u64>) -> Option<&'t [u8]> {
+    let mut toks = toks.peekable();
+    if toks.peek().is_some_and(|tok| tok.starts_with(b"%")) {
+        return None;
+    }
+    for tok in toks {
+        match parse_uint(tok) {
+            Some(v) => vals.push(v),
+            None => return Some(tok),
+        }
+    }
+    None
+}
+
+/// Scans the line at the start of `text` in one pass, collecting its
+/// tokens' values in `vals`. Returns the line's end (its `\n`, or the end
+/// of `text`) when the line holds only ASCII whitespace and digit runs
+/// that fit a `u64`, and `None` at the first byte of anything else.
+fn scan_decimal_line(text: &[u8], vals: &mut Vec<u64>) -> Option<usize> {
+    vals.clear();
+    let mut i = 0;
+    while let Some(&b) = text.get(i) {
+        if b.is_ascii_digit() {
+            let (value, len) = leading_digits(&text[i..])?;
+            vals.push(value);
+            i += len;
+            continue;
+        }
+        if b == b'\n' {
+            return Some(i);
+        }
+        if !is_whitespace(b) {
+            return None;
+        }
+        i += 1;
+    }
+    Some(text.len())
+}
+
+/// The value and length of the digit run at the start of `text`, or
+/// `None` when it overflows a `u64`.
+fn leading_digits(text: &[u8]) -> Option<(u64, usize)> {
+    let mut value = 0u64;
+    let mut len = 0;
+    for &b in text.iter().take_while(|b| b.is_ascii_digit()) {
+        value = value.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+        len += 1;
+    }
+    Some((value, len))
+}
+
+/// [`char::is_whitespace`] restricted to ASCII: unlike
+/// [`u8::is_ascii_whitespace`] it includes the vertical tab.
+fn is_whitespace(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\n' | 0x0B | 0x0C | b'\r')
+}
+
+/// Parses an unsigned decimal as `str::parse::<u64>` does: an optional
+/// `+`, then at least one digit, no overflow.
+fn parse_uint(tok: &[u8]) -> Option<u64> {
+    let digits = tok.strip_prefix(b"+").unwrap_or(tok);
+    match leading_digits(digits)? {
+        (value, len) if len > 0 && len == digits.len() => Some(value),
+        _ => None,
+    }
+}
+
+fn parse_field<T: TryFrom<u64>>(
+    tok: Option<Result<u64, &[u8]>>,
+    line: usize,
+    what: &str,
+) -> Result<T, ParseError> {
+    let tok = tok.ok_or_else(|| ParseError::syntax(line, format!("missing {what}")))?;
+    tok.ok()
+        .and_then(|v| T::try_from(v).ok())
+        .ok_or_else(|| ParseError::syntax(line, format!("{what} is not a valid integer")))
+}
+
+/// Bytes the writer buffers before handing them to the sink.
+const WRITE_CHUNK: usize = 64 * 1024;
 
 /// Writes `h` in `.hgr` format. Weights are emitted only when any differ
 /// from 1, choosing the minimal `fmt` code.
+///
+/// Integers are formatted into one reused buffer that reaches `writer`
+/// in chunks of about 64 KiB, so `writer` needs no buffering of its own.
 ///
 /// # Errors
 ///
@@ -253,30 +428,58 @@ pub fn write<W: Write>(h: &Hypergraph, mut writer: W) -> std::io::Result<()> {
         (false, true) => HgrFormat::VertexWeights,
         (true, true) => HgrFormat::BothWeights,
     };
-    match fmt.code() {
-        None => writeln!(writer, "{} {}", h.num_nets(), h.num_vertices())?,
-        Some(code) => writeln!(writer, "{} {} {}", h.num_nets(), h.num_vertices(), code)?,
+    let mut out = Vec::with_capacity(WRITE_CHUNK + 64);
+    push_uint(&mut out, h.num_nets() as u64);
+    out.push(b' ');
+    push_uint(&mut out, h.num_vertices() as u64);
+    if let Some(code) = fmt.code() {
+        out.push(b' ');
+        push_uint(&mut out, u64::from(code));
     }
-    let mut line = String::new();
+    out.push(b'\n');
     for e in h.nets() {
-        line.clear();
+        let line_start = out.len();
         if fmt.has_net_weights() {
-            line.push_str(&h.net_weight(e).to_string());
+            push_uint(&mut out, u64::from(h.net_weight(e)));
         }
         for &v in h.net_pins(e) {
-            if !line.is_empty() {
-                line.push(' ');
+            if out.len() > line_start {
+                out.push(b' ');
             }
-            line.push_str(&(v.index() + 1).to_string());
+            push_uint(&mut out, v.index() as u64 + 1);
         }
-        writeln!(writer, "{line}")?;
+        out.push(b'\n');
+        if out.len() >= WRITE_CHUNK {
+            writer.write_all(&out)?;
+            out.clear();
+        }
     }
     if fmt.has_vertex_weights() {
         for v in h.vertices() {
-            writeln!(writer, "{}", h.vertex_weight(v))?;
+            push_uint(&mut out, h.vertex_weight(v));
+            out.push(b'\n');
+            if out.len() >= WRITE_CHUNK {
+                writer.write_all(&out)?;
+                out.clear();
+            }
         }
     }
-    Ok(())
+    writer.write_all(&out)
+}
+
+/// Appends the decimal digits of `value` to `out`.
+fn push_uint(out: &mut Vec<u8>, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
 }
 
 /// Writes `h` to an `.hgr` file at `path`.
@@ -285,19 +488,7 @@ pub fn write<W: Write>(h: &Hypergraph, mut writer: W) -> std::io::Result<()> {
 ///
 /// See [`write()`].
 pub fn write_path(h: &Hypergraph, path: impl AsRef<Path>) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    let mut buf = std::io::BufWriter::new(file);
-    write(h, &mut buf)
-}
-
-fn parse_field<T: std::str::FromStr>(
-    tok: Option<&str>,
-    line: usize,
-    what: &str,
-) -> Result<T, ParseError> {
-    tok.ok_or_else(|| ParseError::syntax(line, format!("missing {what}")))?
-        .parse()
-        .map_err(|_| ParseError::syntax(line, format!("{what} is not a valid integer")))
+    write(h, std::fs::File::create(path)?)
 }
 
 #[cfg(test)]
@@ -312,6 +503,26 @@ mod tests {
         b.add_net([v[0], v[1]], 2).unwrap();
         b.add_net([v[1], v[2], v[3]], 1).unwrap();
         b.build().unwrap()
+    }
+
+    #[test]
+    fn decimal_scan_falls_back_on_other_bytes() {
+        let mut vals = Vec::new();
+        assert_eq!(
+            scan_decimal_line(b" 12  3456789012\r\nnext", &mut vals),
+            Some(16)
+        );
+        assert_eq!(vals, [12, 3456789012]);
+        assert_eq!(scan_decimal_line(b"", &mut vals), Some(0));
+        assert!(vals.is_empty());
+        for other in [&b"1 +2"[..], b"% c", b"1 2x", b"18446744073709551616"] {
+            assert_eq!(scan_decimal_line(other, &mut vals), None, "{other:?}");
+        }
+        assert_eq!(
+            scan_decimal_line(b"18446744073709551615", &mut vals),
+            Some(20)
+        );
+        assert_eq!(vals, [u64::MAX]);
     }
 
     #[test]

@@ -45,6 +45,7 @@ mod error;
 mod graph;
 mod ids;
 pub mod io;
+mod stamp;
 pub mod stats;
 pub mod subgraph;
 
@@ -52,3 +53,4 @@ pub use builder::HypergraphBuilder;
 pub use error::{BuildError, ParseError};
 pub use graph::{CsrScratch, Hypergraph};
 pub use ids::{NetId, PartId, VertexId};
+pub use stamp::VertexStamps;

@@ -86,11 +86,7 @@ pub fn recursive_bisection_with(
         }
         first_split = false;
         let sub = induce(h, &cells).graph;
-        // At each split the per-side tolerance must tighten so the final
-        // k-way windows hold: use fraction / log2(k) per level, the
-        // standard conservative schedule.
-        let levels = k.trailing_zeros() as f64;
-        let per_level = (fraction / levels).max(0.005);
+        let per_level = per_level_fraction(fraction, k);
         let constraint = BalanceConstraint::with_fraction(sub.total_vertex_weight(), per_level);
         ctx.seed = next_seed;
         let out = ml.run_with(&sub, &constraint, ctx);
@@ -136,6 +132,20 @@ pub fn recursive_bisection_with(
         audit_failure,
         assignment: partition.into_assignment(),
     }
+}
+
+/// Balance fraction for each of the `log2(k)` nested bisections, so that
+/// the parts they compose stay inside the k-way window of `fraction`.
+///
+/// Every split bounds its sides by `(1 ± p)/2` of the region, so after `L`
+/// levels a part lies within `share · (1 ± p)^L`. The schedule takes the
+/// largest `p` with `(1 + p)^L ≤ 1 + fraction`; `(1 − p)^L ≥ 1 − fraction`
+/// then follows because `x ↦ x^(1/L)` is concave. `fraction / L`
+/// overshoots the upper bound (1.05² = 1.1025 > 1.10 at k = 4). The 0.005
+/// floor keeps tiny fractions splittable at the price of the window.
+fn per_level_fraction(fraction: f64, k: usize) -> f64 {
+    let levels = f64::from(k.trailing_zeros());
+    ((1.0 + fraction).powf(levels.recip()) - 1.0).max(0.005)
 }
 
 #[cfg(test)]
@@ -189,6 +199,25 @@ mod tests {
             recursive.cut,
             direct.cut
         );
+    }
+
+    #[test]
+    fn per_level_windows_compose_into_the_kway_window() {
+        for k in [4usize, 8, 16] {
+            let levels = k.trailing_zeros() as i32;
+            for fraction in [0.03, 0.05, 0.1, 0.2, 0.5] {
+                let p = per_level_fraction(fraction, k);
+                let (hi, lo) = ((1.0 + p).powi(levels), (1.0 - p).powi(levels));
+                assert!(hi <= 1.0 + fraction + 1e-12, "k={k} f={fraction}: {hi}");
+                assert!(lo >= 1.0 - fraction - 1e-12, "k={k} f={fraction}: {lo}");
+                // The upper side binds: it is met with equality.
+                assert!((hi - (1.0 + fraction)).abs() < 1e-12, "k={k} f={fraction}");
+                // A fraction / log2(k) schedule overshoots it.
+                let linear = (1.0 + fraction / f64::from(levels)).powi(levels);
+                assert!(linear > 1.0 + fraction, "k={k} f={fraction}");
+            }
+        }
+        assert_eq!(per_level_fraction(0.001, 8), 0.005);
     }
 
     #[test]

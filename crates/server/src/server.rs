@@ -126,7 +126,9 @@ impl Default for ServerConfig {
 }
 
 /// Monotonic daemon counters (the `stats` op snapshot, minus the cache
-/// counters which live on the caches themselves).
+/// counters which live on the caches themselves). The one exception is
+/// `completed`, which a job whose result frame fails to go out leaves
+/// again for `stream_aborted`.
 #[derive(Debug, Default)]
 struct Stats {
     submitted: AtomicU64,
@@ -1115,10 +1117,13 @@ fn worker_loop(shared: &Arc<Shared>) {
             Some(token) => shared.tokens.complete(token, outcome.clone()),
             None => Vec::new(),
         };
+        // Count the job before its result frame goes out, so a client
+        // that reads the result and then asks for `stats` sees it; a
+        // failed delivery takes the count back.
+        shared.stats.completed.fetch_add(1, Ordering::Relaxed);
         let delivered = !job.writer.is_poisoned() && send_outcome(&job.writer, job.id, &outcome);
-        if delivered {
-            shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-        } else {
+        if !delivered {
+            shared.stats.completed.fetch_sub(1, Ordering::Relaxed);
             // The connection writer poisoned mid-job (satellite of
             // `JsonlSink::is_poisoned`): the trace the client saw is
             // truncated, so the job is reported as aborted — the typed

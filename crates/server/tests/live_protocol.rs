@@ -462,6 +462,31 @@ fn inline_uploads_count_as_instance_cache_misses_and_hits() {
     server.shutdown();
 }
 
+/// A job is counted as completed before its result frame goes out, so
+/// a `stats` request sent right after the result never misses it.
+#[test]
+fn completed_counts_every_job_whose_result_was_read() {
+    let server = start_default();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let text = hgr_text(40, 9);
+    for id in 1..=50u64 {
+        client
+            .send(&Request::Partition(PartitionRequest::new(
+                id,
+                InstanceRef::Inline(text.clone()),
+                id,
+            )))
+            .unwrap();
+        assert!(matches!(
+            client.wait_outcome(id).unwrap(),
+            JobOutcome::Finished { .. }
+        ));
+        let stats = client.stats().unwrap();
+        assert_eq!(stats.completed, id, "stats right after result {id}");
+    }
+    server.shutdown();
+}
+
 /// The trace of a cold 2-way job run locally the way the daemon runs
 /// it: build the hierarchy, then partition from it.
 fn local_trace(request: &PartitionRequest, text: &str) -> Vec<RunEvent> {

@@ -81,6 +81,24 @@ fn kway_outcome_verifies_for_odd_k() {
     assert!(out.is_balanced(&balance));
 }
 
+/// Recursive bisection keeps every part inside the k-way window. With a
+/// `fraction / log2(k)` tolerance per split the two levels of k = 4
+/// compound to 1.05² = 1.1025 × share; this instance then ended with a
+/// part of 1822 against an upper bound of 1818.
+#[test]
+fn recursive_bisection_holds_the_kway_window() {
+    let h = ispd98_like(1, 0.1, 1057);
+    let balance = KWayBalance::with_fraction(h.total_vertex_weight(), 4, 0.1);
+    let out = hypart::kway::recursive_bisection(&h, 4, 0.1, &MlConfig::default(), 57);
+    assert!(
+        out.is_balanced(&balance),
+        "part weights {:?} outside [{}, {}]",
+        out.part_weights,
+        balance.lower(),
+        balance.upper()
+    );
+}
+
 #[test]
 fn baselines_run_through_the_eval_harness() {
     use hypart::eval::runner::{run_trials, Heuristic};
