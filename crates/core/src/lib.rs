@@ -82,8 +82,9 @@ pub use hierarchy::{CoarseLevel, Hierarchy, SharedHierarchy};
 pub use hypart_trace::StopReason;
 pub use initial::generate_initial;
 pub use nlevel::{
-    refine_localized, select_contractions, ContractScratch, ContractionLimits, ContractionMemento,
-    DynHypergraph, EngineKind, LocalSearchScratch, NLevelPartition, NLevelWorkspace,
+    refine_localized, refine_released_pair, select_contractions, ContractScratch,
+    ContractionLimits, ContractionMemento, DynHypergraph, EngineKind, LocalSearchScratch,
+    NLevelPartition, NLevelWorkspace,
 };
 pub use par::{derive_seed, ensure_lanes, resolve_threads, MoveProposal, ParLane};
 pub use par_refine::{refine_rounds_parallel, ParRefineOutcome, PAR_REFINE_MAX_ROUNDS};

@@ -6,8 +6,9 @@
 //! halves the hypergraph per level and rebuilds a CSR per level, the
 //! n-level backend contracts **one vertex pair per step**, records each
 //! step in a [`ContractionMemento`], and later undoes the stack one
-//! memento at a time, running *localized* refinement seeded only on the
-//! two released vertices and their boundary neighborhood. The pieces:
+//! memento at a time, running *localized* refinement seeded only on
+//! those of the two released vertices that lie on a cut net, rippling
+//! out through their boundary neighborhood. The pieces:
 //!
 //! * [`DynHypergraph`] — an incrementally mutated hypergraph view over an
 //!   immutable [`Hypergraph`](hypart_hypergraph::Hypergraph), with lazy
@@ -19,7 +20,8 @@
 //!   (heavy-edge connectivity, deterministic seeded tie-breaks);
 //! * [`NLevelPartition`] — incremental k-way partition state (per-net
 //!   part counts, weighted cut) over a [`DynHypergraph`], plus the
-//!   localized FM refiner [`refine_localized`];
+//!   localized FM refiner [`refine_localized`] with its per-uncontraction
+//!   border gate [`refine_released_pair`];
 //! * [`NLevelWorkspace`] — the reusable scratch arenas of everything
 //!   above (carried on [`crate::RunCtx`] like the FM and coarsening
 //!   workspaces), which make the steady-state hot path allocation-free.
@@ -35,7 +37,7 @@ mod rating;
 mod workspace;
 
 pub use dynhg::{ContractionMemento, DynHypergraph};
-pub use partition::{refine_localized, NLevelPartition};
+pub use partition::{refine_localized, refine_released_pair, NLevelPartition};
 pub use rating::{select_contractions, ContractionLimits};
 pub use workspace::{ContractScratch, LocalSearchScratch, NLevelWorkspace};
 

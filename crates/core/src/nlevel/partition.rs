@@ -10,15 +10,17 @@
 //! the existing allocations, which is how the state recycles through
 //! [`crate::NLevelWorkspace`].
 //!
-//! [`refine_localized`] is the n-level refinement step: it seeds the
-//! gain containers with only the two vertices released by the current
-//! uncontraction, then grows the active set along boundary nets as moves
-//! land. Any balance-admissible move is applied — adverse (negative
-//! gain) moves included, the classic FM hill-climb — with every move
-//! logged and the exploration tail rolled back to the best
-//! `(violation, cut)` prefix on exit. Vertices move at most once per
-//! invocation and the search stalls out a bounded number of moves after
-//! the last improvement, so termination is structural.
+//! [`refine_localized`] is the n-level refinement step. After each
+//! uncontraction, [`refine_released_pair`] seeds it with the *border*
+//! members of the released pair — those on at least one cut net — and
+//! skips it outright when neither is on one; the search then grows the
+//! active set along boundary nets as moves land. Any balance-admissible
+//! move is applied — adverse (negative gain) moves included, the classic
+//! FM hill-climb — with every move logged and the exploration tail
+//! rolled back to the best `(violation, cut)` prefix on exit. Vertices
+//! move at most once per invocation and the search stalls out a bounded
+//! number of moves after the last improvement, so termination is
+//! structural.
 //!
 //! # The exact gain cache
 //!
@@ -369,6 +371,16 @@ impl NLevelPartition {
         // totals are unchanged because u's aggregate already counted v.
     }
 
+    /// Whether `v` lies on a cut net: some incident net has a pin
+    /// outside `v`'s part. O(deg(v)) over the count table. Nets of one
+    /// pin are never cut, so they never make `v` border.
+    pub fn is_border(&self, d: &DynHypergraph, v: VertexId) -> bool {
+        let p = self.part_of(v);
+        d.incident_nets(v)
+            .iter()
+            .any(|&e| self.counts[e.index() * self.k + p] != d.net_size(e))
+    }
+
     /// Recomputes the weighted cut from scratch (audit paths only).
     pub fn recompute_cut(&self, d: &DynHypergraph) -> u64 {
         let mut cut = 0u64;
@@ -409,16 +421,17 @@ fn ensure_cached(
 
 /// Localized FM refinement around one uncontraction.
 ///
-/// Seeds the gain containers with `seeds` (normally the released pair
-/// `[u, v]`), then repeatedly applies the best pending move that keeps
-/// the balance window `[lower, upper]` satisfiable — **including
-/// adverse (negative-gain) moves**, the classic FM hill-climb. Every
-/// applied move is logged; whenever the lexicographic potential
-/// (total violation, cut) reaches a new strict minimum the log position
-/// is recorded, and on exit everything after the best prefix is rolled
-/// back. Neighbors of every moved vertex (through nets of size ≤ 300)
-/// are activated, so improvement ripples outward exactly as far as it
-/// keeps paying. Vertices move at most once per invocation, and the
+/// Seeds the gain containers with `seeds` (after an uncontraction, the
+/// border members of the released pair — see [`refine_released_pair`];
+/// in a flat sweep, every active vertex), then repeatedly applies the
+/// best pending move that keeps the balance window `[lower, upper]`
+/// satisfiable — **including adverse (negative-gain) moves**, the
+/// classic FM hill-climb. Every applied move is logged; whenever the
+/// lexicographic potential (total violation, cut) reaches a new strict
+/// minimum the log position is recorded, and on exit everything after
+/// the best prefix is rolled back. Neighbors of every moved vertex
+/// (through nets of size ≤ 300) are activated, so improvement ripples
+/// outward exactly as far as it keeps paying. Vertices move at most once per invocation, and the
 /// search stops a fixed stall limit (64 moves) after the last
 /// improvement, so termination is structural.
 ///
@@ -593,6 +606,51 @@ pub fn refine_localized<R: Rng>(
     best_len
 }
 
+/// Localized refinement after undoing `m`: [`refine_localized`] seeded
+/// with the members of the released pair `{m.u, m.v}` that lie on a cut
+/// net ([`NLevelPartition::is_border`]).
+///
+/// An interior vertex can only make a net cut by moving, so a search
+/// seeded there explores adverse moves and almost always rolls all of
+/// them back. When neither vertex is border this returns 0 at once: no
+/// container retarget, no epoch bump, no RNG draw, no trace event. Both
+/// n-level uncontraction loops (2-way and k-way) call this one gate.
+#[allow(clippy::too_many_arguments)]
+pub fn refine_released_pair<R: Rng>(
+    partition: &mut NLevelPartition,
+    d: &DynHypergraph,
+    m: &ContractionMemento,
+    lower: u64,
+    upper: u64,
+    insertion: InsertionPolicy,
+    rng: &mut R,
+    scratch: &mut LocalSearchScratch,
+    ctx: &mut RunCtx<'_>,
+) -> usize {
+    let mut seeds = [m.u; 2];
+    let mut len = 0;
+    for v in [m.u, m.v] {
+        if partition.is_border(d, v) {
+            seeds[len] = v;
+            len += 1;
+        }
+    }
+    if len == 0 {
+        return 0;
+    }
+    refine_localized(
+        partition,
+        d,
+        &seeds[..len],
+        lower,
+        upper,
+        insertion,
+        rng,
+        scratch,
+        ctx,
+    )
+}
+
 #[inline]
 fn window_violation(w: u64, lower: u64, upper: u64) -> u64 {
     w.saturating_sub(upper) + lower.saturating_sub(w)
@@ -743,6 +801,105 @@ mod tests {
             &mut p,
             &d,
             &[VertexId::new(2)],
+            1,
+            5,
+            InsertionPolicy::Lifo,
+            &mut rng,
+            &mut scratch,
+            &mut ctx,
+        );
+        assert!(moves >= 1);
+        assert_eq!(p.part_of(VertexId::new(2)), 0);
+        assert_eq!(p.cut(), 1);
+        assert_eq!(p.recompute_cut(&d), p.cut());
+    }
+
+    #[test]
+    fn border_is_membership_of_a_cut_net() {
+        let h = toy();
+        let d = DynHypergraph::new(&h);
+        // Only the bridge net {v2, v3} is cut.
+        let p = NLevelPartition::new(&d, 2, vec![0, 0, 0, 1, 1, 1]);
+        let border: Vec<usize> = (0..6)
+            .filter(|&s| p.is_border(&d, VertexId::from_index(s)))
+            .collect();
+        assert_eq!(border, vec![2, 3]);
+    }
+
+    #[test]
+    fn interior_released_pair_is_skipped_without_side_effects() {
+        // Contract (v4, v5) inside the uncut triangle {v3, v4, v5}; after
+        // the undo neither released vertex touches a cut net.
+        let h = toy();
+        let mut d = DynHypergraph::new(&h);
+        let m = d.contract(VertexId::new(4), VertexId::new(5));
+        let mut p = NLevelPartition::new(&d, 2, vec![0, 0, 0, 1, 1, 1]);
+        p.begin_uncontract(&d, &m);
+        d.uncontract(&m);
+        assert!(!p.is_border(&d, m.u) && !p.is_border(&d, m.v));
+
+        let mut ctx = RunCtx::new(5);
+        // A sentinel in the pooled gain containers: any retarget would
+        // clear it.
+        let sentinel = VertexId::new(0);
+        let mut rng = SmallRng::seed_from_u64(4);
+        ctx.workspace.containers(4, d.num_slots(), d.gain_bound())[1].insert(
+            sentinel,
+            1,
+            InsertionPolicy::Lifo,
+            &mut rng,
+        );
+        let mut scratch = LocalSearchScratch::new();
+        scratch.begin(d.num_slots(), 2);
+        let epoch = scratch.epoch;
+        let (rng_before, p_before) = (rng.clone(), p.clone());
+
+        let moves = refine_released_pair(
+            &mut p,
+            &d,
+            &m,
+            2,
+            4,
+            InsertionPolicy::Lifo,
+            &mut rng,
+            &mut scratch,
+            &mut ctx,
+        );
+        assert_eq!(moves, 0);
+        assert_eq!(rng, rng_before, "the gate drew from the RNG");
+        assert_eq!(p.cut, p_before.cut);
+        assert_eq!(p.counts, p_before.counts);
+        assert_eq!(p.part, p_before.part);
+        assert_eq!(p.part_weight, p_before.part_weight);
+        assert_eq!(scratch.epoch, epoch, "the gate bumped the scratch epoch");
+        assert_eq!(scratch.log.len(), 0);
+        let pool = &mut ctx.workspace.pool;
+        assert_eq!(pool[1].len(), 1, "the gate retargeted the containers");
+        assert!(pool[1].contains(sentinel));
+    }
+
+    #[test]
+    fn border_released_pair_still_finds_the_paying_move() {
+        // Contract (v2, v3) with both on side 1; after the undo v2 sits
+        // on the cut triangle net {v0, v1, v2} (border) and v3 is
+        // interior. Moving v2 to side 0 gains 2 - 1 = 1.
+        let h = toy();
+        let mut d = DynHypergraph::new(&h);
+        let m = d.contract(VertexId::new(2), VertexId::new(3));
+        let mut p = NLevelPartition::new(&d, 2, vec![0, 0, 1, 1, 1, 1]);
+        p.begin_uncontract(&d, &m);
+        d.uncontract(&m);
+        assert_eq!(p.cut(), 2);
+        assert!(p.is_border(&d, VertexId::new(2)));
+        assert!(!p.is_border(&d, VertexId::new(3)));
+
+        let mut ctx = RunCtx::new(11);
+        let mut rng = SmallRng::seed_from_u64(1);
+        let mut scratch = LocalSearchScratch::new();
+        let moves = refine_released_pair(
+            &mut p,
+            &d,
+            &m,
             1,
             5,
             InsertionPolicy::Lifo,

@@ -152,7 +152,7 @@ impl BsfCurve {
             self.heuristic, self.instance, n
         ));
         for row in grid {
-            out.push_str(std::str::from_utf8(&row).expect("ascii"));
+            out.extend(row.iter().map(|&b| char::from(b)));
             out.push('\n');
         }
         out.push_str(&format!("y: [{ymin:.1}, {ymax:.1}]\n"));
@@ -161,6 +161,7 @@ impl BsfCurve {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::runner::{Trial, TrialSet};

@@ -30,6 +30,7 @@ pub fn trial_set_to_json(set: &crate::runner::TrialSet) -> JsonValue {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

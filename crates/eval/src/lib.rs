@@ -33,6 +33,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 pub mod bsf;

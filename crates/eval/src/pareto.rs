@@ -44,9 +44,8 @@ pub fn pareto_frontier(points: &[PerfPoint]) -> Vec<PerfPoint> {
         .collect();
     frontier.sort_by(|a, b| {
         a.seconds
-            .partial_cmp(&b.seconds)
-            .expect("no NaN")
-            .then(a.cost.partial_cmp(&b.cost).expect("no NaN"))
+            .total_cmp(&b.seconds)
+            .then(a.cost.total_cmp(&b.cost))
     });
     frontier
 }
@@ -56,7 +55,7 @@ pub fn pareto_frontier(points: &[PerfPoint]) -> Vec<PerfPoint> {
 pub fn frontier_report(points: &[PerfPoint]) -> String {
     let frontier = pareto_frontier(points);
     let mut sorted: Vec<&PerfPoint> = points.iter().collect();
-    sorted.sort_by(|a, b| a.seconds.partial_cmp(&b.seconds).expect("no NaN"));
+    sorted.sort_by(|a, b| a.seconds.total_cmp(&b.seconds));
     let mut out = String::from("  cost        seconds     configuration\n");
     for p in sorted {
         let marker = if frontier.contains(p) { '*' } else { ' ' };
@@ -70,6 +69,7 @@ pub fn frontier_report(points: &[PerfPoint]) -> String {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -60,6 +60,11 @@ impl RankingDiagram {
     /// heuristic with the lowest expected best cut within the budget. If
     /// no heuristic can complete a start within the budget, the one with
     /// the cheapest single start wins by default (you must run something).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row's curves were emptied after
+    /// [`RankingDiagram::new`] checked them.
     pub fn winner(&self, row: usize, budget_index: usize) -> CellWinner {
         let budget = self.budgets[budget_index];
         let row = &self.rows[row];
@@ -67,18 +72,20 @@ impl RankingDiagram {
             .curves
             .iter()
             .filter_map(|c| c.at_budget(budget).map(|cut| (c.heuristic.clone(), cut)))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN"));
-        let best = affordable.unwrap_or_else(|| {
+            .min_by(|a, b| a.1.total_cmp(&b.1));
+        let best = affordable.or_else(|| {
             let cheapest = row
                 .curves
                 .iter()
-                .min_by(|a, b| a.min_budget().partial_cmp(&b.min_budget()).expect("no NaN"))
-                .expect("row has curves");
-            (
+                .min_by(|a, b| a.min_budget().total_cmp(&b.min_budget()))?;
+            Some((
                 cheapest.heuristic.clone(),
                 cheapest.points[0].expected_best_cut,
-            )
+            ))
         });
+        let Some(best) = best else {
+            panic!("row {} has no curves", row.instance);
+        };
         CellWinner {
             heuristic: best.0,
             expected_cut: best.1,
@@ -114,6 +121,7 @@ fn truncate(s: &str, n: usize) -> String {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::bsf::BsfPoint;

@@ -30,7 +30,7 @@ impl Summary {
         }
         let n = xs.len();
         let mut sorted = xs.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in samples"));
+        sorted.sort_by(f64::total_cmp);
         let mean = sorted.iter().sum::<f64>() / n as f64;
         let var = if n < 2 {
             0.0
@@ -65,7 +65,7 @@ impl Summary {
             return None;
         }
         let mut sorted = xs.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in samples"));
+        sorted.sort_by(f64::total_cmp);
         let pos = q * (sorted.len() - 1) as f64;
         let lo = pos.floor() as usize;
         let hi = pos.ceil() as usize;
@@ -107,7 +107,7 @@ pub fn wilcoxon_rank_sum(xs: &[f64], ys: &[f64]) -> Option<WilcoxonResult> {
         .map(|&x| (x, 0usize))
         .chain(ys.iter().map(|&y| (y, 1usize)))
         .collect();
-    pooled.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN in samples"));
+    pooled.sort_by(|a, b| a.0.total_cmp(&b.0));
     let total = pooled.len();
     let mut ranks = vec![0.0f64; total];
     let mut tie_correction = 0.0f64;
@@ -170,6 +170,7 @@ fn erf(x: f64) -> f64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

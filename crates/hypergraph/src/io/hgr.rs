@@ -19,11 +19,13 @@ use crate::{Hypergraph, HypergraphBuilder, VertexId};
 
 /// Upper bound accepted for the header's declared net/vertex counts.
 ///
-/// The declared counts size pre-allocations before any pin data is read,
-/// so an adversarial header like `99999999999999 99999999999999` must be
-/// rejected up front rather than aborting the process on an impossible
-/// allocation. The largest published VLSI benchmarks are orders of
-/// magnitude below this bound.
+/// A header like `99999999999999 99999999999999` is rejected up front.
+/// Below the bound, the reader reserves only what the input length can
+/// hold and creates vertices as pins name them, so a short file that
+/// declares huge counts ends in the count-mismatch error, not in a huge
+/// allocation; only a file whose declared nets are all present gets its
+/// full declared vertex count. The largest published VLSI benchmarks
+/// are orders of magnitude below this bound.
 pub const MAX_DECLARED_COUNT: usize = 1 << 28;
 
 /// Which weights an `.hgr` file carries.
@@ -142,10 +144,14 @@ fn parse(text: &[u8]) -> Result<Hypergraph, ParseError> {
         }
     }
 
-    let mut builder = HypergraphBuilder::with_capacity(num_vertices, num_nets);
-    // Vertex weights follow the nets; unit placeholders are overwritten
-    // as the weights arrive.
-    builder.add_vertices(num_vertices, 1);
+    // The header is only a promise: reserve no more than the input can
+    // hold (a net line or a pin takes at least 2 bytes), and create
+    // vertices as pins name them, so a short file declaring huge counts
+    // fails with the count mismatch instead of a huge allocation. Vertex
+    // weights follow the nets; unit placeholders are overwritten as the
+    // weights arrive.
+    let fits = text.len() / 2;
+    let mut builder = HypergraphBuilder::with_capacity(num_vertices.min(fits), num_nets.min(fits));
 
     let mut nets_read = 0usize;
     let mut weights_read = 0usize;
@@ -160,11 +166,15 @@ fn parse(text: &[u8]) -> Result<Hypergraph, ParseError> {
                 (1, 0)
             };
             let pins = line.vals.get(first_pin..).unwrap_or_default();
-            if let Some(bad) = pins.iter().find(|&&p| p == 0 || p > num_vertices as u64) {
-                return Err(ParseError::syntax(
-                    line_no,
-                    format!("pin {bad} out of range 1..={num_vertices}"),
-                ));
+            let mut max_pin = 0;
+            for &p in pins {
+                if p == 0 || p > num_vertices as u64 {
+                    return Err(ParseError::syntax(
+                        line_no,
+                        format!("pin {p} out of range 1..={num_vertices}"),
+                    ));
+                }
+                max_pin = max_pin.max(p);
             }
             if let Some(tok) = line.bad {
                 return Err(ParseError::syntax(
@@ -175,6 +185,7 @@ fn parse(text: &[u8]) -> Result<Hypergraph, ParseError> {
             if pins.is_empty() {
                 return Err(ParseError::syntax(line_no, "net line has no pins"));
             }
+            grow_vertices(&mut builder, max_pin as usize);
             builder.add_net(
                 pins.iter().map(|&p| VertexId::from_index(p as usize - 1)),
                 weight,
@@ -194,6 +205,7 @@ fn parse(text: &[u8]) -> Result<Hypergraph, ParseError> {
             total_weight = total_weight
                 .checked_add(w)
                 .ok_or_else(|| ParseError::syntax(line_no, "total vertex weight overflows u64"))?;
+            grow_vertices(&mut builder, num_vertices);
             builder.set_vertex_weight(VertexId::from_index(weights_read), w);
             weights_read += 1;
         } else {
@@ -208,6 +220,9 @@ fn parse(text: &[u8]) -> Result<Hypergraph, ParseError> {
             format!("header promised {num_nets} nets but file contains {nets_read}"),
         ));
     }
+    // Every declared net is in: the rest of the declared vertices exist,
+    // pins or not.
+    grow_vertices(&mut builder, num_vertices);
     if fmt.has_vertex_weights() && weights_read != num_vertices {
         return Err(ParseError::syntax(
             last_line,
@@ -217,6 +232,13 @@ fn parse(text: &[u8]) -> Result<Hypergraph, ParseError> {
         ));
     }
     Ok(builder.build()?)
+}
+
+/// Adds unit-weight vertices until `builder` holds at least `n`.
+fn grow_vertices(builder: &mut HypergraphBuilder, n: usize) {
+    if n > builder.num_vertices() {
+        builder.add_vertices(n - builder.num_vertices(), 1);
+    }
 }
 
 /// The lines of a byte buffer, split at `\n` as

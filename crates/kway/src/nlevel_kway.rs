@@ -7,7 +7,8 @@
 //! Phase structure: contract one pair at a time down to the coarse-config
 //! stop size, materialize the coarse core once, run the seeded flat
 //! k-way portfolio on it, then undo mementos LIFO with localized FM
-//! seeded on the released pair. Budget stops degrade gracefully —
+//! seeded on the border members of the released pair (skipped when
+//! neither lies on a cut net). Budget stops degrade gracefully —
 //! refinement ceases, undo continues — so the outcome is always a legal
 //! full-size k-way partition.
 
@@ -21,7 +22,7 @@ use crate::fm::{record_kway_audit, KWayFmPartitioner, KWayOutcome};
 use crate::multilevel::{MlKWayConfig, MlKWayPartitioner};
 use crate::partition::KWayPartition;
 use hypart_core::{
-    refine_localized, select_contractions, AuditError, AuditLevel, ContractionLimits, RunCtx,
+    refine_released_pair, select_contractions, AuditError, AuditLevel, ContractionLimits, RunCtx,
     StopReason,
 };
 use hypart_hypergraph::Hypergraph;
@@ -124,7 +125,8 @@ pub(crate) fn run_nlevel_kway(
     }
     ws.partition.reset(&ws.dynhg, k, &ws.labels);
 
-    // Uncontraction phase: undo LIFO, localized refinement per step.
+    // Uncontraction phase: undo LIFO, border-gated localized
+    // refinement per step.
     let levels = ws.contract.mementos.len();
     if ctx.sink.is_enabled() {
         ctx.sink.emit(RunEvent::UncontractionBegin {
@@ -148,10 +150,10 @@ pub(crate) fn run_nlevel_kway(
         if stopped.is_stopped() {
             continue;
         }
-        total_moves += refine_localized(
+        total_moves += refine_released_pair(
             &mut ws.partition,
             &ws.dynhg,
-            &[m.u, m.v],
+            &m,
             lower,
             upper,
             config.refine.insertion,

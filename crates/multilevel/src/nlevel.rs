@@ -19,7 +19,9 @@
 //! 3. materialize the coarse core once and reuse the coarse backend's
 //!    seeded initial-partitioning portfolio on it;
 //! 4. undo mementos LIFO; after each undo, run localized FM seeded only
-//!    on the released pair, rippling outward along boundary nets — plus
+//!    on the members of the released pair that lie on a cut net
+//!    ([`refine_released_pair`]; a pair with none is skipped), rippling
+//!    outward along boundary nets — plus
 //!    a flat sweep over all active vertices each time the vertex count
 //!    doubles (and once each at the coarse core and at full size), the
 //!    n-level analogue of the coarse backend's per-level FM passes.
@@ -34,8 +36,9 @@ use rand::SeedableRng;
 use crate::coarsen::cluster_cap;
 use crate::partitioner::{MlConfig, MlOutcome, MlPartitioner};
 use hypart_core::{
-    refine_localized, select_contractions, AuditError, AuditLevel, BalanceConstraint, Bisection,
-    ContractionLimits, NLevelWorkspace, PartitionAuditor, RunCtx, StopReason,
+    refine_localized, refine_released_pair, select_contractions, AuditError, AuditLevel,
+    BalanceConstraint, Bisection, ContractionLimits, NLevelWorkspace, PartitionAuditor, RunCtx,
+    StopReason,
 };
 use hypart_hypergraph::{Hypergraph, PartId, VertexId};
 use hypart_trace::RunEvent;
@@ -262,10 +265,10 @@ fn uncontract_phase(
         if stopped.is_stopped() {
             continue;
         }
-        total_moves += refine_localized(
+        total_moves += refine_released_pair(
             &mut ws.partition,
             &ws.dynhg,
-            &[m.u, m.v],
+            &m,
             lower,
             upper,
             config.refine.insertion,

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use hypart::core::{refine_localized, select_contractions, SparseScores};
+use hypart::core::{refine_released_pair, select_contractions, SparseScores};
 use hypart::prelude::*;
 
 /// Counts every allocation (fresh, zeroed, or growing) made anywhere in
@@ -63,8 +63,8 @@ fn allocated_bytes() -> u64 {
 
 /// One full component-level n-level cycle on warm arenas: re-point the
 /// view, run the contraction schedule, rebuild the partition from
-/// parity labels, then undo the whole memento stack with localized
-/// refinement per step. Exactly the driver's steady-state loop, minus
+/// parity labels, then undo the whole memento stack with border-gated
+/// localized refinement per step. Exactly the driver's steady-state loop, minus
 /// the coarse-core materialization (which builds a fresh CSR by design).
 fn component_cycle(
     h: &Hypergraph,
@@ -94,10 +94,10 @@ fn component_cycle(
     while let Some(m) = ws.contract.mementos.pop() {
         ws.partition.begin_uncontract(&ws.dynhg, &m);
         ws.dynhg.uncontract(&m);
-        refine_localized(
+        refine_released_pair(
             &mut ws.partition,
             &ws.dynhg,
-            &[m.u, m.v],
+            &m,
             lower,
             upper,
             InsertionPolicy::Lifo,
